@@ -68,10 +68,15 @@ struct StarJoinQuery {
 
   /// Debug rendering: "gb=(2,0,1,1) sel=[3..7][0..0][1..4][0..9]".
   std::string ToString() const {
-    std::string s = "gb=" + group_by.ToString() + " sel=";
+    std::string s = "gb=";
+    s += group_by.ToString();
+    s += " sel=";
     for (uint32_t d = 0; d < group_by.num_dims; ++d) {
-      s += "[" + std::to_string(selection[d].begin) + ".." +
-           std::to_string(selection[d].end) + "]";
+      s += '[';
+      s += std::to_string(selection[d].begin);
+      s += "..";
+      s += std::to_string(selection[d].end);
+      s += ']';
     }
     return s;
   }

@@ -75,49 +75,46 @@ class LruPolicy final : public ReplacementPolicy {
   std::unordered_map<uint64_t, std::list<uint64_t>::iterator> map_;
 };
 
-/// Shared machinery for the two CLOCK variants: a ring of slots with a
-/// sweeping arm; erased entries leave tombstones that are compacted when
-/// they outnumber live entries.
+/// Shared machinery for the two CLOCK variants: a linked ring of slots
+/// with a sweeping arm, plus a handle index, so insert, erase and each arm
+/// step are O(1).
 ///
 /// Determinism: a new entry always enters the ring *just behind* the arm,
 /// so it is examined last in the current sweep — regardless of where the
-/// arm sits or whether tombstone compaction has renumbered the ring.
-/// Compact() rebuilds the ring starting at the arm, which preserves the
-/// circular sweep order exactly; eviction order is therefore identical
-/// with and without compaction (regression-tested).
+/// arm sits. Appending at the ring's end instead would place it mid-sweep
+/// whenever the arm is past the start, making eviction order depend on
+/// where the arm happened to sit when the insert landed.
 class ClockBase : public ReplacementPolicy {
  public:
   void OnInsert(uint64_t handle, double benefit) override;
+  /// Resets the entry's weight to its initial benefit (the reference bit,
+  /// for plain CLOCK, which inserts with benefit 1).
+  void OnAccess(uint64_t handle) override;
   void OnErase(uint64_t handle) override;
   size_t size() const override { return map_.size(); }
-
-  /// Forces tombstone compaction now. Exposed so tests can assert that
-  /// compaction never changes the eviction order; harmless otherwise.
-  void ForceCompact() { Compact(); }
 
  protected:
   struct Slot {
     uint64_t handle = 0;
-    double weight = 0;  // reference bit (0/1) for plain CLOCK
-    bool alive = false;
+    double weight = 0;   // reference bit (0/1) for plain CLOCK
+    double benefit = 0;  // weight restored on re-access
   };
 
-  void Compact();
-  /// Advances the arm to the next live slot; returns its index or nullopt
-  /// when the ring has no live slots.
-  std::optional<size_t> Advance();
+  /// Returns the slot under the arm and steps the arm past it; nullptr
+  /// when the ring is empty.
+  Slot* Advance();
 
-  std::vector<Slot> ring_;
-  std::unordered_map<uint64_t, size_t> map_;  // handle -> ring index
-  size_t arm_ = 0;
-  size_t dead_ = 0;
+  std::list<Slot> ring_;
+  std::unordered_map<uint64_t, std::list<Slot>::iterator> map_;
+  // The slot visited next; end() stands for begin(), so inserting before
+  // it still lands just behind the arm.
+  std::list<Slot>::iterator arm_ = ring_.end();
 };
 
 /// Plain CLOCK (second chance): weight is a 0/1 reference bit.
 class ClockPolicy final : public ClockBase {
  public:
   void OnInsert(uint64_t handle, double benefit) override;
-  void OnAccess(uint64_t handle) override;
   std::optional<uint64_t> PickVictim(double incoming_benefit) override;
   std::string name() const override { return "clock"; }
 };
@@ -125,23 +122,8 @@ class ClockPolicy final : public ClockBase {
 /// The paper's benefit-weighted CLOCK (Section 5.4).
 class BenefitClockPolicy final : public ClockBase {
  public:
-  void OnAccess(uint64_t handle) override;
   std::optional<uint64_t> PickVictim(double incoming_benefit) override;
   std::string name() const override { return "benefit-clock"; }
-
- private:
-  // Remembers each entry's initial benefit so re-access can reset weight.
-  std::unordered_map<uint64_t, double> benefit_;
-
- public:
-  void OnInsert(uint64_t handle, double benefit) override {
-    ClockBase::OnInsert(handle, benefit);
-    benefit_[handle] = benefit;
-  }
-  void OnErase(uint64_t handle) override {
-    ClockBase::OnErase(handle);
-    benefit_.erase(handle);
-  }
 };
 
 /// ARC: live T1 (seen once) / T2 (seen twice+) lists plus ghost B1/B2 key

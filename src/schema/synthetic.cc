@@ -19,7 +19,9 @@ Result<Dimension> BuildSyntheticDimension(
   for (size_t li = 0; li < level_cards.size(); ++li) {
     // Plain "L<k>" level names keep SQL attribute references unambiguous
     // ("D0.L2" = dimension D0, level L2).
-    builder.AddLevel("L" + std::to_string(li + 1));
+    std::string level_name = "L";
+    level_name += std::to_string(li + 1);
+    builder.AddLevel(level_name);
     const uint32_t card = level_cards[li];
     if (li == 0) {
       for (uint32_t i = 0; i < card; ++i) {

@@ -282,9 +282,12 @@ TEST_F(LiveFuzzFixture, OversizedFrameClosedWithoutBufferingIt) {
   ASSERT_TRUE(client->SendRaw(header.data(), header.size()).ok());
   // The server answers one error frame (best-effort) and closes; either
   // way this connection is done and the server has buffered ~nothing.
+  // Waiting for that terminal reply makes the bad-frame count exact.
+  auto reply = client->WaitResponse(0);
+  EXPECT_FALSE(reply.ok() && reply->status.ok());
   ExpectStillServing();
   const auto snap = server_->metrics().TakeSnapshot();
-  EXPECT_GE(snap.counter("server.frames.bad"), 1u);
+  EXPECT_EQ(snap.counter("server.frames.bad"), 1u);
 }
 
 TEST_F(LiveFuzzFixture, GarbageStreamsClosedCleanly) {
@@ -294,10 +297,15 @@ TEST_F(LiveFuzzFixture, GarbageStreamsClosedCleanly) {
     std::vector<uint8_t> garbage(64 + rng.Uniform(4096));
     for (auto& b : garbage) b = static_cast<uint8_t>(rng.Next64());
     (void)client->SendRaw(garbage.data(), garbage.size());
+    // Wait for the terminal reply: the connection-level error frame (it
+    // carries request id 0) or the close behind it. The server counts the
+    // bad frame before it answers, so every round is counted by now.
+    auto reply = client->WaitResponse(0);
+    EXPECT_FALSE(reply.ok() && reply->status.ok()) << "round " << round;
   }
   ExpectStillServing();
   const auto snap = server_->metrics().TakeSnapshot();
-  EXPECT_GE(snap.counter("server.frames.bad"), 1u);
+  EXPECT_EQ(snap.counter("server.frames.bad"), 32u);
   // Garbage never counts as offered work: the shed/ok/error books only
   // track well-formed query frames.
   EXPECT_EQ(snap.counter("server.queries.offered"),

@@ -562,10 +562,12 @@ TEST_F(ServerFixture, ServingStorm) {
   const uint64_t rounds = StormIters(1) * 20;
 
   std::atomic<bool> stop{false};
+  std::atomic<bool> stable_started{false};
   std::atomic<uint64_t> stable_ok{0};
   std::thread stable([&] {
     auto client = NewClient(/*tenant=*/42);
     while (!stop.load()) {
+      stable_started.store(true);
       auto resp = client->Execute(SampleQuery());
       ASSERT_TRUE(resp.ok());
       ASSERT_TRUE(resp->status.ok());
@@ -577,6 +579,9 @@ TEST_F(ServerFixture, ServingStorm) {
   std::vector<std::thread> churn;
   for (int t = 0; t < 4; ++t) {
     churn.emplace_back([&, t] {
+      // The churn must overlap the stable client's service; otherwise a
+      // fast churn can end (and set `stop`) before its first query.
+      while (!stable_started.load()) std::this_thread::yield();
       for (uint64_t r = 0; r < rounds; ++r) {
         auto client = NewClient(/*tenant=*/static_cast<uint32_t>(t));
         for (int q = 0; q < 3; ++q) {
